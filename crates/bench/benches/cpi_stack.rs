@@ -37,7 +37,8 @@ fn main() {
         &configs,
         &Workload::paper_set(),
         budget,
-    );
+    )
+    .expect("base and DRA runs complete");
     eprintln!("[cpi-stack] done in {:.1}s", t0.elapsed().as_secs_f64());
     eprintln!("[cpi-stack] sweep: {}", sweep.summary().line());
     println!("{rep}");

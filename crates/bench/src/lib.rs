@@ -1,27 +1,17 @@
-//! Shared harness for the figure benches.
+//! Shared budget handling for the bench targets.
 //!
-//! Each `benches/figN.rs` target regenerates one figure of the paper's
-//! evaluation (see DESIGN.md §3). They run under `cargo bench` with
-//! `harness = false`, print the paper-style table, and archive JSON under
-//! `target/figures/`.
-//!
-//! Budgets and parallelism are overridable for quick runs:
+//! The figures themselves are regenerated by `looseloops figure <id>`
+//! (see EXPERIMENTS.md for each table's command). The targets here are
+//! `micro` (component micro-benchmarks), `simmips` (the sim-MIPS
+//! regression harness behind `BENCH_pr10.json`) and `cpi_stack` (per-loop
+//! CPI stacks, base vs DRA). They run under `cargo bench` with
+//! `harness = false`; budgets are overridable for quick runs:
 //!
 //! ```text
-//! LOOSELOOPS_WARMUP=5000 LOOSELOOPS_MEASURE=50000 cargo bench --bench fig4
-//! LOOSELOOPS_JOBS=8 cargo bench --bench fig8        # 8 sweep workers
-//! LOOSELOOPS_SWEEP_VERBOSE=1 cargo bench --bench fig4   # per-job timing
+//! LOOSELOOPS_WARMUP=5000 LOOSELOOPS_MEASURE=50000 cargo bench --bench cpi_stack
 //! ```
-//!
-//! Every figure runs on a [`SweepEngine`]: the grid of independent
-//! simulations is spread over `LOOSELOOPS_JOBS` workers (default: all
-//! cores) and memoized, and the harness prints a sweep summary line —
-//! jobs run, cache hits, aggregate simulated MIPS — after each figure.
 
-use looseloops::{FigureResult, RunBudget, SweepEngine};
-use std::fs;
-use std::path::PathBuf;
-use std::time::Instant;
+use looseloops::RunBudget;
 
 /// Apply `LOOSELOOPS_WARMUP` / `LOOSELOOPS_MEASURE` / `LOOSELOOPS_MAX_CYCLES`
 /// overrides from `lookup` to the default bench budget.
@@ -67,47 +57,6 @@ pub fn budget_from_env() -> RunBudget {
         eprintln!("error: {e}");
         std::process::exit(2);
     })
-}
-
-/// Print the figure table and archive it as JSON under `target/figures/`.
-pub fn emit(fig: &FigureResult) {
-    println!("{fig}");
-    let dir = PathBuf::from("target/figures");
-    if fs::create_dir_all(&dir).is_ok() {
-        let path = dir.join(format!("{}.json", fig.id));
-        if fs::write(&path, fig.to_json()).is_ok() {
-            println!("(archived to {})", path.display());
-        }
-    }
-}
-
-/// Run a named figure generator on an environment-sized sweep engine,
-/// with wall-clock reporting and a sweep summary (jobs run, cache hits,
-/// simulated MIPS). Set `LOOSELOOPS_SWEEP_VERBOSE=1` for per-job timing.
-pub fn run_figure(name: &str, gen: impl FnOnce(&SweepEngine, RunBudget) -> FigureResult) {
-    let budget = budget_from_env();
-    let sweep = SweepEngine::from_env();
-    eprintln!(
-        "[{name}] warmup={} measure={} instructions per run, {} sweep workers…",
-        budget.warmup,
-        budget.measure,
-        sweep.workers()
-    );
-    let t0 = Instant::now();
-    let fig = gen(&sweep, budget);
-    eprintln!("[{name}] done in {:.1}s", t0.elapsed().as_secs_f64());
-    if std::env::var("LOOSELOOPS_SWEEP_VERBOSE").is_ok_and(|v| v != "0") {
-        for job in sweep.take_job_log() {
-            eprintln!(
-                "[{name}]   {:<24} {:>8.1} ms  {:>8.2} sim-MIPS",
-                job.label,
-                job.wall.as_secs_f64() * 1e3,
-                job.sim_mips()
-            );
-        }
-    }
-    eprintln!("[{name}] sweep: {}", sweep.summary().line());
-    emit(&fig);
 }
 
 #[cfg(test)]

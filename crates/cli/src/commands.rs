@@ -3,11 +3,8 @@
 use crate::args::{ArgError, Args};
 use crate::config::{budget_from_args, config_from_args, BUDGET_FLAGS, CONFIG_FLAGS};
 use looseloops::{
-    ablation_dra_design_on, ablation_fwd_window_on, ablation_iq_size_on, ablation_load_policies_on,
-    ablation_predictors_on, ablation_prefetch_on, capture_checkpoint, cpi_stack_report_on,
-    fig4_pipeline_length_on, fig5_fixed_total_on, fig6_operand_gap_cdf_on, fig8_dra_speedup_on,
-    fig9_operand_sources_on, figure_cpi_stacks_on, loop_inventory, restore_into, run_sampled,
-    warm_digest, CheckpointStore, ExecMode, FigureResult, Job, Machine, ResultStore, RunBudget,
+    capture_checkpoint, cpi_stack_report_on, loop_inventory, restore_into, run_sampled,
+    warm_digest, CheckpointStore, ExecMode, FigureSpec, Job, Machine, ResultStore, RunBudget,
     SamplingPlan, SimStats, SweepEngine, WarmMemo, Workload,
 };
 use looseloops_workload::Benchmark;
@@ -311,50 +308,6 @@ pub fn run(args: &Args) -> Result<(), ArgError> {
     Ok(())
 }
 
-/// Figure ids understood by `looseloops figure`, with their generators.
-/// `all` regenerates every one of them on a single engine, so overlapping
-/// grids (the base machine appears in several figures) simulate once.
-const FIGURE_IDS: &[&str] = &[
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig8",
-    "fig9",
-    "load-policy",
-    "dra-design",
-    "fwd-window",
-    "iq-size",
-    "prefetch",
-    "predictor",
-];
-
-fn generate_figure(
-    id: &str,
-    sweep: &SweepEngine,
-    workloads: &[Workload],
-    budget: RunBudget,
-) -> Result<FigureResult, ArgError> {
-    Ok(match id {
-        "fig4" => fig4_pipeline_length_on(sweep, workloads, budget),
-        "fig5" => fig5_fixed_total_on(sweep, workloads, budget),
-        "fig6" => fig6_operand_gap_cdf_on(sweep, budget),
-        "fig8" => fig8_dra_speedup_on(sweep, workloads, budget),
-        "fig9" => fig9_operand_sources_on(sweep, workloads, budget),
-        "load-policy" => ablation_load_policies_on(sweep, workloads, budget),
-        "dra-design" => ablation_dra_design_on(sweep, workloads, budget),
-        "fwd-window" => ablation_fwd_window_on(sweep, workloads, budget),
-        "iq-size" => ablation_iq_size_on(sweep, workloads, budget),
-        "prefetch" => ablation_prefetch_on(sweep, workloads, budget),
-        "predictor" => ablation_predictors_on(sweep, workloads, budget),
-        other => {
-            return Err(ArgError(format!(
-                "unknown figure `{other}` (known: {}, all)",
-                FIGURE_IDS.join(", ")
-            )))
-        }
-    })
-}
-
 /// Parse `--workloads a,b,c` (default: the full paper set).
 fn workloads_from_args(args: &Args) -> Result<Vec<Workload>, ArgError> {
     match args.get("workloads") {
@@ -402,7 +355,10 @@ fn sweep_from_args(
 
 /// `looseloops figure`
 pub fn figure(args: &Args) -> Result<(), ArgError> {
-    let allowed = config_flag_set(&[
+    // The machines are the figure's own grid, so the config flags of `run`
+    // are rejected rather than silently ignored.
+    let mut allowed = BUDGET_FLAGS.to_vec();
+    allowed.extend_from_slice(&[
         "smoke",
         "json-out",
         "workloads",
@@ -417,15 +373,11 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
     ]);
     args.reject_unknown(&allowed)?;
     let profile_json = profile_from_args(args);
+    let known = || format!("{}, all", FigureSpec::IDS.join(", "));
     let id = args
         .positional()
         .first()
-        .ok_or_else(|| {
-            ArgError(format!(
-                "figure needs an id ({}, all)",
-                FIGURE_IDS.join(", ")
-            ))
-        })?
+        .ok_or_else(|| ArgError(format!("figure needs an id ({})", known())))?
         .clone();
     let mut budget = budget_from_args(args)?;
     if args.has("smoke") {
@@ -438,44 +390,36 @@ pub fn figure(args: &Args) -> Result<(), ArgError> {
     let workloads = workloads_from_args(args)?;
     let (mode, store) = mode_from_args(args, budget)?;
     let sweep = sweep_from_args(args, mode, store)?;
-    // With --stacks, each figure's per-loop CPI stacks are appended after
-    // the figure itself — the points are the figure's own memoized jobs,
-    // so no extra simulation happens and without the flag the output is
-    // byte-identical to before.
-    let stacks = args.has("stacks");
-
-    if id == "all" {
+    let ids: Vec<&str> = if id == "all" {
         if args.get("json-out").is_some() {
             return Err(ArgError(
                 "--json-out applies to a single figure, not `all`".into(),
             ));
         }
-        for fid in FIGURE_IDS {
-            let fig = generate_figure(fid, &sweep, &workloads, budget)?;
-            print!("{fig}");
-            if stacks {
-                if let Some(rep) = figure_cpi_stacks_on(&sweep, &fig.id, &workloads, budget) {
-                    print!("{rep}");
-                }
-            }
-            emit_profile(fid, profile_json);
-        }
-        eprintln!("[sweep] {}", sweep.summary().line());
-        return Ok(());
-    }
+        FigureSpec::IDS.to_vec()
+    } else {
+        vec![id.as_str()]
+    };
 
-    let fig = generate_figure(&id, &sweep, &workloads, budget)?;
-    print!("{fig}");
-    if stacks {
-        if let Some(rep) = figure_cpi_stacks_on(&sweep, &fig.id, &workloads, budget) {
-            print!("{rep}");
+    for fid in ids {
+        let spec = FigureSpec::for_id(fid, &workloads, budget)
+            .ok_or_else(|| ArgError(format!("unknown figure `{fid}` (known: {})", known())))?;
+        let results = spec.run_on(&sweep).map_err(|e| ArgError(e.to_string()))?;
+        let fig = spec.render(&results);
+        print!("{fig}");
+        // With --stacks, the figure's per-loop CPI stacks follow it,
+        // folded from the same results.
+        if args.has("stacks") {
+            print!("{}", spec.render_stacks(&results));
+        }
+        emit_profile(fid, profile_json);
+        if let Some(path) = args.get("json-out") {
+            std::fs::write(path, fig.to_json())
+                .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         }
     }
-    emit_profile(&id, profile_json);
     eprintln!("[sweep] {}", sweep.summary().line());
     if let Some(path) = args.get("json-out") {
-        std::fs::write(path, fig.to_json())
-            .map_err(|e| ArgError(format!("cannot write {path}: {e}")))?;
         println!("(json written to {path})");
     }
     Ok(())
@@ -681,7 +625,8 @@ fn loops_attribute(args: &Args) -> Result<(), ArgError> {
         &configs,
         &workloads,
         budget,
-    );
+    )
+    .map_err(|e| ArgError(e.to_string()))?;
     print!("{rep}");
     println!("loops charged:");
     for l in loop_inventory(&cfg) {
@@ -772,7 +717,7 @@ pub fn list(_args: &Args) -> Result<(), ArgError> {
     for p in Benchmark::pairs() {
         println!("  {}", p.name());
     }
-    println!("figures: fig4 fig5 fig6 fig8 fig9 load-policy dra-design predictor");
+    println!("figures: {}", FigureSpec::IDS.join(" "));
     Ok(())
 }
 

@@ -23,9 +23,18 @@ fn list_names_everything() {
     let out = looseloops(&["list"]);
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    for name in ["compress", "turb3d", "apsi-swim", "fig8"] {
+    for name in ["compress", "turb3d", "apsi-swim"] {
         assert!(text.contains(name), "missing {name}");
     }
+    let figures = text
+        .lines()
+        .find_map(|l| l.strip_prefix("figures: "))
+        .expect("figures line");
+    assert_eq!(
+        figures.split(' ').collect::<Vec<_>>(),
+        looseloops::FigureSpec::IDS,
+        "`list` names every registry figure"
+    );
 }
 
 #[test]
@@ -97,6 +106,17 @@ fn figure_smoke_runs() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("fig6"));
+}
+
+#[test]
+fn figure_rejects_machine_config_flags() {
+    // A figure's machines are its own grid: a config flag would be
+    // silently ignored, so it is an error instead.
+    let out = looseloops(&["figure", "fig6", "--smoke", "--audit"]);
+    assert!(!out.status.success(), "--audit must not be accepted");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --audit"), "{err}");
+    assert!(out.stdout.is_empty(), "nothing simulated");
 }
 
 #[test]

@@ -13,14 +13,30 @@
 //! ## Quick start
 //!
 //! ```
-//! use looseloops::{Benchmark, PipelineConfig, RunBudget, run_benchmark};
+//! use looseloops::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget, SimError};
 //!
 //! // Simulate 20k instructions of the `swim` proxy on the paper's base
 //! // machine and on the DRA machine (3-cycle register file).
 //! let budget = RunBudget { warmup: 2_000, measure: 20_000, max_cycles: 2_000_000 };
-//! let base = run_benchmark(&PipelineConfig::base_for_rf(3), Benchmark::Swim, budget);
-//! let dra = run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Swim, budget);
+//! let base = try_run_benchmark(&PipelineConfig::base_for_rf(3), Benchmark::Swim, budget)?;
+//! let dra = try_run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Swim, budget)?;
 //! println!("speedup = {:.3}", dra.ipc() / base.ipc());
+//! # Ok::<(), SimError>(())
+//! ```
+//!
+//! ## Figures
+//!
+//! Every figure of the paper's evaluation is a [`FigureSpec`], listed in
+//! [`FigureSpec::IDS`]. Run one on a caller-owned [`SweepEngine`] and
+//! render it:
+//!
+//! ```no_run
+//! use looseloops::{FigureSpec, RunBudget, SweepEngine, Workload};
+//!
+//! let spec = FigureSpec::for_id("fig8", &Workload::smoke_set(), RunBudget::test()).unwrap();
+//! let results = spec.run_on(&SweepEngine::new(0))?;
+//! print!("{}{}", spec.render(&results), spec.render_stacks(&results));
+//! # Ok::<(), looseloops::SweepError>(())
 //! ```
 //!
 //! ## Loop analysis
@@ -54,25 +70,14 @@ pub use checkpoint::{
 };
 pub use sampling::{run_sampled, SampledRun, SamplingPlan};
 
-pub use experiments::{
-    ablation_dra_design, ablation_dra_design_on, ablation_fwd_window, ablation_fwd_window_on,
-    ablation_iq_size, ablation_iq_size_on, ablation_load_policies, ablation_load_policies_on,
-    ablation_predictors, ablation_predictors_on, ablation_prefetch, ablation_prefetch_on,
-    cpi_stack_report_on, fig4_pipeline_length, fig4_pipeline_length_on, fig5_fixed_total,
-    fig5_fixed_total_on, fig6_operand_gap_cdf, fig6_operand_gap_cdf_on, fig8_dra_speedup,
-    fig8_dra_speedup_on, fig9_operand_sources, fig9_operand_sources_on, figure_cpi_stacks_on,
-    FigureKind, FigureSpec, Workload,
-};
+pub use experiments::{cpi_stack_report_on, FigureKind, FigureSpec, Workload};
 pub use loops::{loop_for_component, loop_inventory, LoopInfo, LoopKind, Management, Stage};
 pub use machines::{alpha21264_like, pentium4_like};
 pub use report::{json_escape, CpiStackReport, CpiStackRow, FigureResult, Series};
-pub use simulator::{
-    run_benchmark, run_pair, run_programs, try_run_benchmark, try_run_pair, try_run_programs,
-    RunBudget,
-};
+pub use simulator::{try_run_benchmark, try_run_pair, try_run_programs, RunBudget};
 pub use store::{atomic_write, GcReport, ResultStore, RESULT_STORE_VERSION, STORE_ENV};
 pub use sweep::{
-    default_jobs, fnv1a64, jobs_from_env, parallel_map, ExecMode, Job, JobRecord, SweepEngine,
+    default_jobs, fnv1a64, jobs_from_env, parallel_map, ExecMode, Job, SweepEngine, SweepError,
     SweepSummary,
 };
 

@@ -90,7 +90,7 @@ mod tests {
 
     #[test]
     fn presets_actually_run() {
-        use crate::simulator::{run_benchmark, RunBudget};
+        use crate::simulator::{try_run_benchmark, RunBudget};
         use looseloops_workload::Benchmark;
         let budget = RunBudget {
             warmup: 500,
@@ -98,7 +98,7 @@ mod tests {
             max_cycles: 2_000_000,
         };
         for cfg in [alpha21264_like(), pentium4_like()] {
-            let s = run_benchmark(&cfg, Benchmark::M88ksim, budget);
+            let s = try_run_benchmark(&cfg, Benchmark::M88ksim, budget).expect("preset runs");
             assert!(
                 s.ipc() > 0.2,
                 "preset must execute sensibly, ipc={}",
@@ -109,15 +109,19 @@ mod tests {
 
     #[test]
     fn deep_pipe_loses_on_branchy_code() {
-        use crate::simulator::{run_benchmark, RunBudget};
+        use crate::simulator::{try_run_benchmark, RunBudget};
         use looseloops_workload::Benchmark;
         let budget = RunBudget {
             warmup: 2_000,
             measure: 10_000,
             max_cycles: 4_000_000,
         };
-        let shallow = run_benchmark(&alpha21264_like(), Benchmark::Go, budget).ipc();
-        let deep = run_benchmark(&pentium4_like(), Benchmark::Go, budget).ipc();
+        let ipc = |cfg| {
+            try_run_benchmark(&cfg, Benchmark::Go, budget)
+                .expect("go runs")
+                .ipc()
+        };
+        let (shallow, deep) = (ipc(alpha21264_like()), ipc(pentium4_like()));
         assert!(
             deep < shallow,
             "the paper's motivation: the deep pipe must lose on go ({deep} vs {shallow})"

@@ -650,9 +650,8 @@ mod tests {
             Workload::Single(Benchmark::Compress),
             Workload::Single(Benchmark::Swim),
         ];
-        let local = FigureSpec::for_id("fig4", &workloads, tiny_budget())
-            .unwrap()
-            .run_on(&SweepEngine::serial());
+        let spec = FigureSpec::for_id("fig4", &workloads, tiny_budget()).unwrap();
+        let local = spec.render(&spec.run_on(&SweepEngine::new(1)).expect("fig4 runs"));
         assert_eq!(fig.to_table(), local.to_table());
 
         let stacks_json = parse(&lines[2]).unwrap();
@@ -752,8 +751,7 @@ mod tests {
         // compact() must keep the pretty renderings parseable.
         let workloads = [Workload::Single(Benchmark::Compress)];
         let spec = FigureSpec::for_id("fig4", &workloads, tiny_budget()).unwrap();
-        let engine = SweepEngine::serial();
-        let stats = engine.run_jobs(&spec.jobs());
+        let stats = spec.run_on(&SweepEngine::new(1)).expect("fig4 runs");
         let fig = spec.render(&stats);
         let parsed = parse(&compact(&fig.to_json())).expect("figure JSON parses");
         assert_eq!(

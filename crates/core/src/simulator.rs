@@ -98,33 +98,6 @@ pub fn try_run_pair(
     try_run_programs(cfg, pair.programs(), budget)
 }
 
-/// [`try_run_programs`] for infallible contexts (benches, examples).
-///
-/// # Panics
-///
-/// Panics on any [`SimError`].
-pub fn run_programs(cfg: &PipelineConfig, programs: Vec<Program>, budget: RunBudget) -> SimStats {
-    try_run_programs(cfg, programs, budget).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run_benchmark`] for infallible contexts.
-///
-/// # Panics
-///
-/// Panics on any [`SimError`], including `cfg.threads != 1`.
-pub fn run_benchmark(cfg: &PipelineConfig, bench: Benchmark, budget: RunBudget) -> SimStats {
-    try_run_benchmark(cfg, bench, budget).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`try_run_pair`] for infallible contexts.
-///
-/// # Panics
-///
-/// Panics on any [`SimError`], including `cfg.threads != 2`.
-pub fn run_pair(cfg: &PipelineConfig, pair: SmtPair, budget: RunBudget) -> SimStats {
-    try_run_pair(cfg, pair, budget).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +110,8 @@ mod tests {
             measure: 10_000,
             max_cycles: 5_000_000,
         };
-        let stats = run_benchmark(&PipelineConfig::base(), Benchmark::M88ksim, budget);
+        let stats = try_run_benchmark(&PipelineConfig::base(), Benchmark::M88ksim, budget)
+            .expect("m88ksim runs");
         // Retired count reflects only the measured window (within the
         // retire-width granularity of the run loop).
         assert!(stats.total_retired() >= 10_000);
@@ -147,23 +121,14 @@ mod tests {
 
     #[test]
     fn smt_pair_runs_both_threads() {
-        let stats = run_pair(
+        let stats = try_run_pair(
             &PipelineConfig::base().smt(2),
             looseloops_workload::Benchmark::pairs()[0],
             RunBudget::test(),
-        );
+        )
+        .expect("the pair runs");
         assert!(stats.retired[0] > 0);
         assert!(stats.retired[1] > 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn thread_count_mismatch_panics() {
-        let _ = run_benchmark(
-            &PipelineConfig::base().smt(2),
-            Benchmark::Go,
-            RunBudget::test(),
-        );
     }
 
     #[test]

@@ -26,19 +26,18 @@ use crate::store::ResultStore;
 use looseloops_pipeline::{LoopCostStack, PipelineConfig, SimError, SimStats};
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Lock `m`, recovering from poisoning.
 ///
-/// The engine's mutexes guard plain accumulators (memo map, merged stack,
-/// timing log) whose updates are single `insert`/`merge`/`push` calls, so
+/// The engine's mutexes guard plain accumulators (memo map, merged stack)
+/// whose updates are single `insert`/`merge`/`push` calls, so
 /// a panic elsewhere in a worker can never leave them mid-mutation —
 /// taking the inner value after a poisoning is always safe. Before this
-/// helper, one panicked job permanently poisoned the process-global
-/// engine and every later figure call died on
-/// `expect("sweep cache poisoned")` even though `try_run_jobs` promises
-/// failures don't sink the batch.
+/// helper, one panicked job permanently poisoned a long-lived engine and
+/// every later figure call died on `expect("sweep cache poisoned")` even
+/// though `try_run_jobs` promises failures don't sink the batch.
 pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -57,6 +56,26 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// What one executed sweep job yields: the run's statistics or the
 /// [`SimError`] that stopped it.
 type JobResult = Result<Arc<SimStats>, SimError>;
+
+/// The failed jobs of one grid run, reported together once every other
+/// job has completed (see [`crate::FigureSpec::run_on`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SweepError {
+    /// [`Job::label`] and error of every failed job, in grid order.
+    pub failures: Vec<(String, SimError)>,
+}
+
+impl std::fmt::Display for SweepError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} sweep job(s) failed:", self.failures.len())?;
+        for (label, e) in &self.failures {
+            write!(f, "\n  {label}: {e}")?;
+        }
+        Ok(())
+    }
+}
+
+impl std::error::Error for SweepError {}
 
 /// One point of a sweep: a machine configuration, a workload, a budget.
 #[derive(Debug, Clone)]
@@ -148,30 +167,13 @@ impl Job {
     }
 }
 
-/// Timing record for one executed (non-memoized) job.
-#[derive(Debug, Clone)]
-pub struct JobRecord {
-    /// [`Job::label`] of the run.
-    pub label: String,
-    /// Wall-clock time of the run on its worker.
-    pub wall: Duration,
-    /// Instructions simulated (warm-up + measured window).
-    pub instructions: u64,
-}
-
-impl JobRecord {
-    /// Simulated instructions per wall-clock second, in millions.
-    pub fn sim_mips(&self) -> f64 {
-        self.instructions as f64 / self.wall.as_secs_f64().max(1e-9) / 1e6
-    }
-}
-
 /// Aggregate counters of everything an engine has executed so far.
 #[derive(Debug, Clone, Copy)]
 pub struct SweepSummary {
     /// Worker threads the engine runs with.
     pub workers: usize,
-    /// Jobs requested through [`SweepEngine::run_jobs`] (memoized or not).
+    /// Jobs requested through [`SweepEngine::try_run_jobs`] (memoized or
+    /// not).
     pub jobs_requested: u64,
     /// Jobs actually simulated.
     pub jobs_run: u64,
@@ -183,7 +185,7 @@ pub struct SweepSummary {
     /// Executed jobs that ended in a [`SimError`] (reported per job by
     /// [`SweepEngine::try_run_jobs`]; never cached, so a retry re-runs).
     pub jobs_failed: u64,
-    /// Wall-clock time spent inside `run_jobs` (the parallel region).
+    /// Wall-clock time spent inside `try_run_jobs` (the parallel region).
     pub wall: Duration,
     /// Summed per-job simulation time across all workers.
     pub busy: Duration,
@@ -244,7 +246,6 @@ pub struct SweepEngine {
     wall_nanos: AtomicU64,
     busy_nanos: AtomicU64,
     instructions: AtomicU64,
-    job_log: Mutex<Vec<JobRecord>>,
     stack: Mutex<LoopCostStack>,
 }
 
@@ -376,7 +377,6 @@ impl SweepEngine {
             wall_nanos: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
             instructions: AtomicU64::new(0),
-            job_log: Mutex::new(Vec::new()),
             stack: Mutex::new(LoopCostStack::default()),
         }
     }
@@ -384,21 +384,6 @@ impl SweepEngine {
     /// An engine sized from `LOOSELOOPS_JOBS` / the machine.
     pub fn from_env() -> SweepEngine {
         SweepEngine::new(jobs_from_env())
-    }
-
-    /// A strictly serial engine (one worker) — the reference for the
-    /// determinism tests.
-    pub fn serial() -> SweepEngine {
-        SweepEngine::new(1)
-    }
-
-    /// The process-wide shared engine, sized from the environment on first
-    /// use. The budget-compatible figure entry points
-    /// ([`crate::fig4_pipeline_length`] & co.) run on this engine, so
-    /// figures generated in one process share the memo cache.
-    pub fn global() -> &'static SweepEngine {
-        static GLOBAL: OnceLock<SweepEngine> = OnceLock::new();
-        GLOBAL.get_or_init(SweepEngine::from_env)
     }
 
     /// The worker-thread count.
@@ -499,11 +484,6 @@ impl SweepEngine {
                     let instructions = job.budget.warmup + stats.total_retired();
                     self.instructions.fetch_add(instructions, Ordering::Relaxed);
                     lock_clean(&self.stack).merge(&stats.loop_cost);
-                    lock_clean(&self.job_log).push(JobRecord {
-                        label: job.label(),
-                        wall,
-                        instructions,
-                    });
                     if let Some(store) = &self.result_store {
                         let digest = fnv1a64(key.as_bytes());
                         if let Err(e) = store.save(digest, key, stats) {
@@ -542,55 +522,6 @@ impl SweepEngine {
             .collect()
     }
 
-    /// [`SweepEngine::try_run_jobs`] for infallible contexts (the figure
-    /// generators, whose configurations are known-valid).
-    ///
-    /// # Panics
-    ///
-    /// After the whole batch has drained, panics listing every failed
-    /// job's label and error — a bad config cannot silently discard the
-    /// results of the jobs that did complete.
-    pub fn run_jobs(&self, jobs: &[Job]) -> Vec<Arc<SimStats>> {
-        let results = self.try_run_jobs(jobs);
-        let mut failures: Vec<String> = Vec::new();
-        let mut out = Vec::with_capacity(results.len());
-        for (job, result) in jobs.iter().zip(results) {
-            match result {
-                Ok(stats) => out.push(stats),
-                Err(e) => failures.push(format!("{}: {e}", job.label())),
-            }
-        }
-        assert!(
-            failures.is_empty(),
-            "{} sweep job(s) failed:\n  {}",
-            failures.len(),
-            failures.join("\n  ")
-        );
-        out
-    }
-
-    /// Execute the full `configs × workloads` grid at one budget.
-    /// Returns `result[config][workload]`, row-major in input order.
-    pub fn run_grid(
-        &self,
-        configs: &[PipelineConfig],
-        workloads: &[Workload],
-        budget: RunBudget,
-    ) -> Vec<Vec<Arc<SimStats>>> {
-        let jobs: Vec<Job> = configs
-            .iter()
-            .flat_map(|cfg| {
-                workloads
-                    .iter()
-                    .map(move |w| Job::new(cfg.clone(), *w, budget))
-            })
-            .collect();
-        let flat = self.run_jobs(&jobs);
-        flat.chunks(workloads.len().max(1))
-            .map(<[Arc<SimStats>]>::to_vec)
-            .collect()
-    }
-
     /// Counters since construction (or the last [`SweepEngine::reset_metrics`]).
     pub fn summary(&self) -> SweepSummary {
         SweepSummary {
@@ -607,13 +538,7 @@ impl SweepEngine {
         }
     }
 
-    /// Drain the per-job timing log (completion order, which is
-    /// scheduling-dependent — observability only, never results).
-    pub fn take_job_log(&self) -> Vec<JobRecord> {
-        std::mem::take(&mut *lock_clean(&self.job_log))
-    }
-
-    /// Zero the counters and timing log. The memo cache is kept — metrics
+    /// Zero the counters. The memo cache is kept — metrics
     /// describe work, the cache describes results.
     pub fn reset_metrics(&self) {
         self.jobs_requested.store(0, Ordering::Relaxed);
@@ -624,7 +549,6 @@ impl SweepEngine {
         self.wall_nanos.store(0, Ordering::Relaxed);
         self.busy_nanos.store(0, Ordering::Relaxed);
         self.instructions.store(0, Ordering::Relaxed);
-        lock_clean(&self.job_log).clear();
         *lock_clean(&self.stack) = LoopCostStack::default();
     }
 }
@@ -644,6 +568,15 @@ mod tests {
 
     fn job(b: Benchmark) -> Job {
         Job::new(PipelineConfig::base(), Workload::Single(b), tiny())
+    }
+
+    /// Every job's statistics, in input order; panics on a failed job.
+    fn run_ok(engine: &SweepEngine, jobs: &[Job]) -> Vec<Arc<SimStats>> {
+        engine
+            .try_run_jobs(jobs)
+            .into_iter()
+            .map(|r| r.expect("job runs"))
+            .collect()
     }
 
     #[test]
@@ -673,7 +606,7 @@ mod tests {
     fn duplicate_jobs_simulate_once() {
         let engine = SweepEngine::new(4);
         let jobs = [job(Benchmark::Compress), job(Benchmark::Compress)];
-        let out = engine.run_jobs(&jobs);
+        let out = run_ok(&engine, &jobs);
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].cycles, out[1].cycles);
         let s = engine.summary();
@@ -685,11 +618,10 @@ mod tests {
     #[test]
     fn cache_survives_across_batches() {
         let engine = SweepEngine::new(2);
-        engine.run_jobs(&[job(Benchmark::Compress)]);
-        engine.run_jobs(&[job(Benchmark::Compress)]);
+        run_ok(&engine, &[job(Benchmark::Compress)]);
+        run_ok(&engine, &[job(Benchmark::Compress)]);
         let s = engine.summary();
         assert_eq!((s.jobs_run, s.cache_hits), (1, 1));
-        assert_eq!(engine.take_job_log().len(), 1, "only the miss is timed");
     }
 
     #[test]
@@ -703,25 +635,26 @@ mod tests {
             Workload::Single(Benchmark::Compress),
             Workload::Single(Benchmark::Swim),
         ];
-        let grid = engine.run_grid(&configs, &workloads, tiny());
-        assert_eq!(grid.len(), 2);
-        for (c, row) in configs.iter().zip(&grid) {
-            assert_eq!(row.len(), 2);
-            for (w, got) in workloads.iter().zip(row) {
-                let reference = w.run(c, tiny());
-                assert_eq!(got.cycles, reference.cycles);
-                assert_eq!(got.total_retired(), reference.total_retired());
-            }
+        let jobs: Vec<Job> = configs
+            .iter()
+            .flat_map(|c| workloads.iter().map(|w| Job::new(c.clone(), *w, tiny())))
+            .collect();
+        let grid = run_ok(&engine, &jobs);
+        assert_eq!(grid.len(), 4);
+        for (j, got) in jobs.iter().zip(&grid) {
+            let reference = j.workload.try_run(&j.config, tiny()).expect("runs");
+            assert_eq!(got.cycles, reference.cycles);
+            assert_eq!(got.total_retired(), reference.total_retired());
         }
     }
 
     #[test]
     fn metrics_reset_keeps_cache() {
         let engine = SweepEngine::new(2);
-        engine.run_jobs(&[job(Benchmark::Compress)]);
+        run_ok(&engine, &[job(Benchmark::Compress)]);
         engine.reset_metrics();
         assert_eq!(engine.summary().jobs_run, 0);
-        engine.run_jobs(&[job(Benchmark::Compress)]);
+        run_ok(&engine, &[job(Benchmark::Compress)]);
         let s = engine.summary();
         assert_eq!(
             (s.jobs_run, s.cache_hits),
@@ -773,10 +706,39 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "sweep job(s) failed")]
-    fn run_jobs_panics_with_labeled_failures_after_draining() {
+    fn run_on_reports_every_labeled_failure_after_draining() {
         let engine = SweepEngine::new(2);
-        engine.run_jobs(&[job(Benchmark::Compress), broken_job()]);
+        let grid = crate::FigureSpec {
+            id: "broken".into(),
+            title: "a grid with one invalid machine".into(),
+            paper_expectation: String::new(),
+            configs: vec![
+                ("good".into(), PipelineConfig::base()),
+                ("bad".into(), broken_job().config),
+            ],
+            workloads: vec![
+                Workload::Single(Benchmark::Compress),
+                Workload::Single(Benchmark::Swim),
+            ],
+            budget: tiny(),
+            kind: crate::FigureKind::Speedup { baseline: 0 },
+        };
+        let err = grid
+            .run_on(&engine)
+            .expect_err("the bad row fails the grid");
+        let jobs = grid.jobs();
+        let labels: Vec<String> = jobs[2..].iter().map(Job::label).collect();
+        let failed: Vec<String> = err.failures.iter().map(|(l, _)| l.clone()).collect();
+        assert_eq!(failed, labels, "every failed job, in grid order");
+        let text = err.to_string();
+        assert!(text.starts_with("2 sweep job(s) failed:"), "{text}");
+        for (label, e) in &err.failures {
+            assert!(text.contains(&format!("{label}: {e}")), "{text}");
+        }
+        // The good row drained and was cached despite the failures.
+        assert_eq!(engine.summary().jobs_failed, 2);
+        assert_eq!(run_ok(&engine, &jobs[..2]).len(), 2);
+        assert_eq!(engine.summary().cache_hits, 2);
     }
 
     fn panicking_job() -> Job {
@@ -800,8 +762,8 @@ mod tests {
         assert!(err.to_string().contains("job panicked"));
         assert_eq!(engine.summary().jobs_failed, 1);
         // Regression: the panic used to poison the engine's mutexes, so
-        // every later call on the (process-global) engine also panicked.
-        let again = engine.run_jobs(&[job(Benchmark::Compress), job(Benchmark::Swim)]);
+        // every later call on a long-lived engine also panicked.
+        let again = run_ok(&engine, &[job(Benchmark::Compress), job(Benchmark::Swim)]);
         assert_eq!(again.len(), 2);
         let s = engine.summary();
         assert_eq!(s.cache_hits, 2, "memo cache survived the panic");
@@ -821,16 +783,14 @@ mod tests {
         // Poison the stack/log/cache mutexes directly (panic while the
         // guard is held) and check every engine entry point still works.
         let engine = SweepEngine::new(2);
-        engine.run_jobs(&[job(Benchmark::Compress)]);
+        run_ok(&engine, &[job(Benchmark::Compress)]);
         poison(&engine.stack);
-        poison(&engine.job_log);
         poison(&engine.cache);
         assert!(engine.stack.is_poisoned());
         let s = engine.summary();
         assert!(s.stack.conserves());
-        engine.run_jobs(&[job(Benchmark::Compress)]);
+        run_ok(&engine, &[job(Benchmark::Compress)]);
         assert_eq!(engine.summary().cache_hits, 1, "cache intact after poison");
-        engine.take_job_log();
         engine.reset_metrics();
         assert_eq!(engine.summary().jobs_run, 0);
     }
@@ -843,14 +803,14 @@ mod tests {
         let jobs = [job(Benchmark::Compress), job(Benchmark::Swim)];
 
         let cold = SweepEngine::with_stores(2, ExecMode::Detailed, None, Some(store.clone()));
-        let a = cold.run_jobs(&jobs);
+        let a = run_ok(&cold, &jobs);
         let s = cold.summary();
         assert_eq!((s.jobs_run, s.store_hits), (2, 0));
 
         // A fresh engine (empty memo) on the same directory answers
         // everything from disk: zero simulation, identical results.
         let warm = SweepEngine::with_stores(2, ExecMode::Detailed, None, Some(store));
-        let b = warm.run_jobs(&jobs);
+        let b = run_ok(&warm, &jobs);
         let s = warm.summary();
         assert_eq!((s.jobs_run, s.store_hits), (0, 2));
         assert!(s.line().contains("2 store hits"));
@@ -861,7 +821,7 @@ mod tests {
         }
         // Store hits fill the memo cache: a repeat within the warm engine
         // is a memory hit, not another disk read.
-        warm.run_jobs(&jobs);
+        run_ok(&warm, &jobs);
         assert_eq!(warm.summary().cache_hits, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -891,11 +851,11 @@ mod tests {
             budget,
         );
         let cpi = |s: &SimStats| s.cycles as f64 / s.total_retired() as f64;
-        let detailed = &SweepEngine::serial().run_jobs(std::slice::from_ref(&j))[0];
+        let detailed = &run_ok(&SweepEngine::new(1), std::slice::from_ref(&j))[0];
 
         let ff_engine = SweepEngine::with_mode(1, ExecMode::FastForward, None);
         assert_eq!(ff_engine.mode(), ExecMode::FastForward);
-        let ff = &ff_engine.run_jobs(std::slice::from_ref(&j))[0];
+        let ff = &run_ok(&ff_engine, std::slice::from_ref(&j))[0];
         assert!(ff.total_retired() >= budget.measure);
         let ff_err = (cpi(ff) - cpi(detailed)).abs() / cpi(detailed);
         assert!(
@@ -908,7 +868,7 @@ mod tests {
 
         let plan = SamplingPlan::for_budget(budget);
         let s_engine = SweepEngine::with_mode(1, ExecMode::Sampled(plan), None);
-        let sampled = &s_engine.run_jobs(std::slice::from_ref(&j))[0];
+        let sampled = &run_ok(&s_engine, std::slice::from_ref(&j))[0];
         // Sampling simulates a small fraction of the window in detail...
         assert!(sampled.total_retired() <= plan.detailed_instructions());
         assert!(sampled.total_retired() < detailed.total_retired() / 3);
@@ -927,7 +887,7 @@ mod tests {
     fn summary_stack_merges_executed_jobs() {
         let engine = SweepEngine::new(2);
         let jobs = [job(Benchmark::Compress), job(Benchmark::Swim)];
-        let out = engine.run_jobs(&jobs);
+        let out = run_ok(&engine, &jobs);
         let s = engine.summary();
         assert!(s.stack.conserves(), "merged stack conserves slots");
         assert_eq!(
@@ -936,7 +896,7 @@ mod tests {
             "stack covers every executed cycle"
         );
         // Cache hits add nothing: the stack tracks work, not requests.
-        engine.run_jobs(&jobs);
+        run_ok(&engine, &jobs);
         assert_eq!(engine.summary().stack.cycles, s.stack.cycles);
         engine.reset_metrics();
         assert_eq!(engine.summary().stack, LoopCostStack::default());

@@ -318,11 +318,10 @@ impl Machine {
             ready_events: TimingWheel::new(WHEEL_HORIZON),
             preg_consumers: vec![Vec::new(); cfg.phys_regs],
             gated_loads: vec![Vec::new(); cfg.threads],
-            // Default on; `LOOSELOOPS_NAIVE=1` forces the reference
-            // per-cycle engine process-wide (an A/B escape hatch — the
-            // two engines are cycle-exact by construction and by the
-            // differential suite, so this only trades speed).
-            event_driven: std::env::var_os("LOOSELOOPS_NAIVE").is_none(),
+            // Always on; the naive per-cycle walk is reachable only
+            // through `set_event_driven(false)`, as the equivalence
+            // suites' reference.
+            event_driven: true,
             progressed: true,
             profile: crate::profile::enabled().then(Box::default),
             scratch: Scratch::default(),

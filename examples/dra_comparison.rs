@@ -6,7 +6,7 @@
 //! cargo run --release --example dra_comparison [benchmark] [instructions]
 //! ```
 
-use looseloops_repro::core::{run_benchmark, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "swim".into());
@@ -32,8 +32,8 @@ fn main() {
     for rf in [3u32, 5, 7] {
         let base_cfg = PipelineConfig::base_for_rf(rf);
         let dra_cfg = PipelineConfig::dra_for_rf(rf);
-        let base = run_benchmark(&base_cfg, bench, budget);
-        let dra = run_benchmark(&dra_cfg, bench, budget);
+        let base = try_run_benchmark(&base_cfg, bench, budget).expect("benchmark runs");
+        let dra = try_run_benchmark(&dra_cfg, bench, budget).expect("benchmark runs");
         println!(
             "{:>24} {:>10.3} {:>10.3} {:>10} {:>10}",
             format!("base 5_{} (rf={rf})", base_cfg.iq_ex_stages),

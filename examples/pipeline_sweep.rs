@@ -11,7 +11,7 @@
 //! cargo run --release --example pipeline_sweep [instructions]
 //! ```
 
-use looseloops_repro::core::{Benchmark, PipelineConfig, RunBudget, SweepEngine, Workload};
+use looseloops_repro::core::{Benchmark, Job, PipelineConfig, RunBudget, SweepEngine, Workload};
 
 fn print_sweep(
     sweep: &SweepEngine,
@@ -33,12 +33,21 @@ fn print_sweep(
         .chain(latencies)
         .map(|(x, y)| PipelineConfig::base_with_latencies(x, y))
         .collect();
-    let grid = sweep.run_grid(&configs, workloads, budget);
+    let jobs: Vec<Job> = configs
+        .iter()
+        .flat_map(|c| workloads.iter().map(|w| Job::new(c.clone(), *w, budget)))
+        .collect();
+    // ipc[config * workloads + workload], row-major like `jobs`.
+    let ipc: Vec<f64> = sweep
+        .try_run_jobs(&jobs)
+        .into_iter()
+        .map(|r| r.expect("sweep point runs").ipc())
+        .collect();
+    let nw = workloads.len();
     for (w, workload) in workloads.iter().enumerate() {
-        let baseline = grid[0][w].ipc();
         let mut row = format!("{:>10}", workload.name());
-        for cfg_row in &grid[1..] {
-            row.push_str(&format!(" {:>8.3}", cfg_row[w].ipc() / baseline));
+        for c in 1..configs.len() {
+            row.push_str(&format!(" {:>8.3}", ipc[c * nw + w] / ipc[w]));
         }
         println!("{row}");
     }

@@ -7,7 +7,9 @@
 //! cargo run --release --example smt_throughput [instructions]
 //! ```
 
-use looseloops_repro::core::{run_benchmark, run_pair, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{
+    try_run_benchmark, try_run_pair, Benchmark, PipelineConfig, RunBudget,
+};
 
 fn main() {
     let measure: u64 = std::env::args()
@@ -27,9 +29,13 @@ fn main() {
         "pair", "ipc(a)", "ipc(b)", "ipc(a+b|smt)", "smt gain"
     );
     for pair in Benchmark::pairs() {
-        let a = run_benchmark(&single, pair.0, budget).ipc();
-        let b = run_benchmark(&single, pair.1, budget).ipc();
-        let both = run_pair(&smt, pair, budget);
+        let a = try_run_benchmark(&single, pair.0, budget)
+            .expect("benchmark runs")
+            .ipc();
+        let b = try_run_benchmark(&single, pair.1, budget)
+            .expect("benchmark runs")
+            .ipc();
+        let both = try_run_pair(&smt, pair, budget).expect("SMT pair runs");
         let combined = both.ipc();
         // Throughput gain over time-slicing the two programs on one thread
         // (harmonic-mean baseline).

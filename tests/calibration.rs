@@ -4,7 +4,7 @@
 //! envelope, the figures stop meaning what EXPERIMENTS.md says they mean.
 
 use looseloops_repro::core::SimStats;
-use looseloops_repro::core::{run_benchmark, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget};
 
 fn measure(b: Benchmark) -> SimStats {
     let budget = RunBudget {
@@ -12,7 +12,7 @@ fn measure(b: Benchmark) -> SimStats {
         measure: 60_000,
         max_cycles: 50_000_000,
     };
-    run_benchmark(&PipelineConfig::base(), b, budget)
+    try_run_benchmark(&PipelineConfig::base(), b, budget).expect("benchmark runs")
 }
 
 #[test]
@@ -98,7 +98,7 @@ fn apsi_is_chain_bound_with_dra_misses() {
         "apsi must be low-ILP, got ipc {:.2}",
         s.ipc()
     );
-    let dra = run_benchmark(
+    let dra = try_run_benchmark(
         &PipelineConfig::dra_for_rf(5),
         Benchmark::Apsi,
         RunBudget {
@@ -106,7 +106,8 @@ fn apsi_is_chain_bound_with_dra_misses() {
             measure: 60_000,
             max_cycles: 50_000_000,
         },
-    );
+    )
+    .expect("benchmark runs");
     assert!(
         (0.004..0.04).contains(&dra.operand_miss_rate()),
         "apsi operand-miss rate {:.4} outside the paper's ~1.5% neighbourhood",
@@ -135,8 +136,12 @@ fn memory_bound_codes_ignore_pipe_length() {
         max_cycles: 50_000_000,
     };
     for b in [Benchmark::Hydro2d, Benchmark::Mgrid] {
-        let short = run_benchmark(&PipelineConfig::base_with_latencies(3, 3), b, budget).ipc();
-        let long = run_benchmark(&PipelineConfig::base_with_latencies(9, 9), b, budget).ipc();
+        let short = try_run_benchmark(&PipelineConfig::base_with_latencies(3, 3), b, budget)
+            .expect("benchmark runs")
+            .ipc();
+        let long = try_run_benchmark(&PipelineConfig::base_with_latencies(9, 9), b, budget)
+            .expect("benchmark runs")
+            .ipc();
         let loss = 1.0 - long / short;
         assert!(
             loss < 0.20,

@@ -4,8 +4,8 @@
 //! engine's memo cache.
 
 use looseloops_repro::core::{
-    cpi_stack_report_on, figure_cpi_stacks_on, pipeline::Machine, CpiComponent, PipelineConfig,
-    RunBudget, SweepEngine, Workload,
+    cpi_stack_report_on, pipeline::Machine, CpiComponent, FigureSpec, PipelineConfig, RunBudget,
+    SweepEngine, Workload,
 };
 use looseloops_repro::core::{try_run_benchmark, Benchmark};
 
@@ -72,7 +72,8 @@ fn stack_restarts_with_the_measurement_window() {
 fn branch_resolution_component_grows_with_pipeline_length() {
     let sweep = SweepEngine::new(2);
     let ws = [Workload::Single(Benchmark::Compress)];
-    let rep = figure_cpi_stacks_on(&sweep, "fig4", &ws, tiny()).expect("fig4 has stacks");
+    let spec = FigureSpec::for_id("fig4", &ws, tiny()).expect("registry id");
+    let rep = spec.render_stacks(&spec.run_on(&sweep).expect("fig4 runs"));
     assert_eq!(rep.rows.len(), 4, "one row per fig4 machine");
     let idx = CpiComponent::BranchResolution.index();
     let branch: Vec<f64> = rep.rows.iter().map(|r| r.components[idx]).collect();
@@ -108,14 +109,14 @@ fn cached_and_fresh_stacks_are_identical() {
     let configs = [("base".to_string(), PipelineConfig::base())];
 
     let serial = SweepEngine::new(1);
-    let a = cpi_stack_report_on(&serial, "s", "t", &configs, &ws, tiny());
+    let a = cpi_stack_report_on(&serial, "s", "t", &configs, &ws, tiny()).expect("stacks run");
     let parallel = SweepEngine::new(8);
-    let b = cpi_stack_report_on(&parallel, "s", "t", &configs, &ws, tiny());
+    let b = cpi_stack_report_on(&parallel, "s", "t", &configs, &ws, tiny()).expect("stacks run");
     assert_eq!(a.to_csv(), b.to_csv(), "stacks are worker-count invariant");
 
     // Second generation on the same engine: all cache hits, same bytes.
     parallel.reset_metrics();
-    let c = cpi_stack_report_on(&parallel, "s", "t", &configs, &ws, tiny());
+    let c = cpi_stack_report_on(&parallel, "s", "t", &configs, &ws, tiny()).expect("stacks run");
     let s = parallel.summary();
     assert_eq!(s.jobs_run, 0, "second pass is pure cache hits");
     assert_eq!(s.cache_hits, ws.len() as u64);

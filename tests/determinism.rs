@@ -2,7 +2,7 @@
 //! counts and statistics, across every scheme. Figure results depend on
 //! this (speedups are ratios of single runs).
 
-use looseloops_repro::core::{run_benchmark, Benchmark, PipelineConfig, RunBudget};
+use looseloops_repro::core::{try_run_benchmark, Benchmark, PipelineConfig, RunBudget};
 use looseloops_repro::workload::Benchmark as B;
 
 fn budget() -> RunBudget {
@@ -14,7 +14,7 @@ fn budget() -> RunBudget {
 }
 
 fn fingerprint(cfg: &PipelineConfig, b: Benchmark) -> (u64, u64, u64, u64, [u64; 5]) {
-    let s = run_benchmark(cfg, b, budget());
+    let s = try_run_benchmark(cfg, b, budget()).expect("benchmark runs");
     (
         s.cycles,
         s.total_retired(),
@@ -51,7 +51,8 @@ fn different_configs_actually_differ() {
 fn smt_runs_are_reproducible() {
     let cfg = PipelineConfig::base().smt(2);
     let run = || {
-        let s = looseloops_repro::core::run_pair(&cfg, B::pairs()[0], budget());
+        let s = looseloops_repro::core::try_run_pair(&cfg, B::pairs()[0], budget())
+            .expect("SMT pair runs");
         (s.cycles, s.retired.clone())
     };
     assert_eq!(run(), run());

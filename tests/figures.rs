@@ -1,11 +1,8 @@
-//! Smoke tests for every figure harness: each experiment must produce a
+//! Smoke tests for the figure registry: each experiment must produce a
 //! structurally valid result at a tiny budget, and the baseline rows must
 //! be exactly 1.0.
 
-use looseloops_repro::core::{
-    ablation_load_policies, fig4_pipeline_length, fig5_fixed_total, fig6_operand_gap_cdf,
-    fig8_dra_speedup, fig9_operand_sources, FigureResult, RunBudget, Workload,
-};
+use looseloops_repro::core::{FigureResult, FigureSpec, RunBudget, SweepEngine, Workload};
 
 fn tiny() -> RunBudget {
     RunBudget {
@@ -13,6 +10,14 @@ fn tiny() -> RunBudget {
         measure: 3_000,
         max_cycles: 2_000_000,
     }
+}
+
+/// Run the registry's figure `id` over `workloads` on an engine sized from
+/// `LOOSELOOPS_JOBS` / the machine.
+fn figure(id: &str, workloads: &[Workload]) -> FigureResult {
+    let spec = FigureSpec::for_id(id, workloads, tiny()).expect("registry id");
+    let results = spec.run_on(&SweepEngine::from_env()).expect("figure runs");
+    spec.render(&results)
 }
 
 fn check_speedup_figure(f: &FigureResult, series: usize, baseline_row: usize) {
@@ -49,19 +54,19 @@ fn check_speedup_figure(f: &FigureResult, series: usize, baseline_row: usize) {
 
 #[test]
 fn fig4_smoke() {
-    let f = fig4_pipeline_length(&Workload::smoke_set(), tiny());
+    let f = figure("fig4", &Workload::smoke_set());
     check_speedup_figure(&f, 4, 0);
 }
 
 #[test]
 fn fig5_smoke() {
-    let f = fig5_fixed_total(&Workload::smoke_set(), tiny());
+    let f = figure("fig5", &Workload::smoke_set());
     check_speedup_figure(&f, 4, 0);
 }
 
 #[test]
 fn fig6_smoke() {
-    let f = fig6_operand_gap_cdf(tiny());
+    let f = figure("fig6", &[]);
     assert_eq!(f.series.len(), 1);
     assert_eq!(f.columns.len(), 61);
     let v = &f.series[0].values;
@@ -72,7 +77,7 @@ fn fig6_smoke() {
 #[test]
 fn fig8_smoke() {
     let ws = Workload::smoke_set();
-    let f = fig8_dra_speedup(&ws, tiny());
+    let f = figure("fig8", &ws);
     assert_eq!(f.series.len(), 3);
     for s in &f.series {
         assert!(s.label.contains("DRA"));
@@ -89,7 +94,7 @@ fn fig8_smoke() {
 #[test]
 fn fig9_smoke() {
     let ws = Workload::smoke_set();
-    let f = fig9_operand_sources(&ws, tiny());
+    let f = figure("fig9", &ws);
     assert_eq!(f.series.len(), 5);
     for col in 0..ws.len() {
         let total: f64 = f.series.iter().map(|s| s.values[col]).sum();
@@ -107,7 +112,7 @@ fn fig9_smoke() {
 
 #[test]
 fn ablation_smoke() {
-    let f = ablation_load_policies(&Workload::smoke_set(), tiny());
+    let f = figure("load-policy", &Workload::smoke_set());
     // 4 policies; smoke set + the appended chase microbenchmark.
     check_speedup_figure(&f, 4, 0);
     assert_eq!(*f.columns.last().unwrap(), "chase");

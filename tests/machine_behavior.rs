@@ -4,7 +4,7 @@
 use looseloops_repro::core::{
     loop_inventory, LoadSpecPolicy, Machine, PipelineConfig, RegisterScheme, RunBudget,
 };
-use looseloops_repro::core::{run_benchmark, Benchmark};
+use looseloops_repro::core::{try_run_benchmark, Benchmark};
 use looseloops_repro::isa::asm;
 use looseloops_repro::mem::TlbMissPolicy;
 use looseloops_repro::workload::{synthetic, SyntheticParams};
@@ -19,7 +19,8 @@ fn small() -> RunBudget {
 
 #[test]
 fn branch_resolution_loop_fires_on_branchy_code() {
-    let s = run_benchmark(&PipelineConfig::base(), Benchmark::Go, small());
+    let s =
+        try_run_benchmark(&PipelineConfig::base(), Benchmark::Go, small()).expect("benchmark runs");
     assert!(s.branches > 1_000, "go is branch-dominated");
     assert!(
         s.branch_mispredict_rate() > 0.05,
@@ -31,7 +32,8 @@ fn branch_resolution_loop_fires_on_branchy_code() {
 
 #[test]
 fn load_resolution_loop_fires_on_missy_code() {
-    let s = run_benchmark(&PipelineConfig::base(), Benchmark::Swim, small());
+    let s = try_run_benchmark(&PipelineConfig::base(), Benchmark::Swim, small())
+        .expect("benchmark runs");
     assert!(s.loads > 2_000);
     assert!(s.load_miss_rate() > 0.02, "swim streams past L1");
     assert!(
@@ -46,19 +48,20 @@ fn stall_policy_never_replays() {
         load_policy: LoadSpecPolicy::Stall,
         ..PipelineConfig::base()
     };
-    let s = run_benchmark(&cfg, Benchmark::Swim, small());
+    let s = try_run_benchmark(&cfg, Benchmark::Swim, small()).expect("benchmark runs");
     assert_eq!(s.load_replays, 0);
     assert_eq!(s.shadow_replays, 0);
 }
 
 #[test]
 fn shadow_policy_replays_more_than_tree() {
-    let tree = run_benchmark(&PipelineConfig::base(), Benchmark::Swim, small());
+    let tree = try_run_benchmark(&PipelineConfig::base(), Benchmark::Swim, small())
+        .expect("benchmark runs");
     let cfg = PipelineConfig {
         load_policy: LoadSpecPolicy::ReissueShadow,
         ..PipelineConfig::base()
     };
-    let shadow = run_benchmark(&cfg, Benchmark::Swim, small());
+    let shadow = try_run_benchmark(&cfg, Benchmark::Swim, small()).expect("benchmark runs");
     assert!(
         shadow.load_replays + shadow.shadow_replays > tree.load_replays,
         "21264-style shadow kill wastes more work: {} vs {}",
@@ -69,9 +72,11 @@ fn shadow_policy_replays_more_than_tree() {
 
 #[test]
 fn operand_resolution_loop_exists_only_under_dra() {
-    let base = run_benchmark(&PipelineConfig::base_for_rf(5), Benchmark::Apsi, small());
+    let base = try_run_benchmark(&PipelineConfig::base_for_rf(5), Benchmark::Apsi, small())
+        .expect("benchmark runs");
     assert_eq!(base.operand_misses, 0);
-    let dra = run_benchmark(&PipelineConfig::dra_for_rf(5), Benchmark::Apsi, small());
+    let dra = try_run_benchmark(&PipelineConfig::dra_for_rf(5), Benchmark::Apsi, small())
+        .expect("benchmark runs");
     assert!(
         dra.operand_misses > 0,
         "apsi is the DRA's pathological case"
@@ -82,7 +87,8 @@ fn operand_resolution_loop_exists_only_under_dra() {
 
 #[test]
 fn dra_never_uses_the_iq_ex_register_read() {
-    let s = run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Gcc, small());
+    let s = try_run_benchmark(&PipelineConfig::dra_for_rf(3), Benchmark::Gcc, small())
+        .expect("benchmark runs");
     assert_eq!(s.operand_sources[3], 0, "no RegFile-path reads under DRA");
     assert!(s.operand_sources[0] > 0, "pre-reads happen");
     assert!(s.operand_sources[1] > 0, "forwarding happens");
@@ -91,7 +97,8 @@ fn dra_never_uses_the_iq_ex_register_read() {
 
 #[test]
 fn tlb_traps_fire_for_page_hungry_code() {
-    let s = run_benchmark(&PipelineConfig::base(), Benchmark::Turb3d, small());
+    let s = try_run_benchmark(&PipelineConfig::base(), Benchmark::Turb3d, small())
+        .expect("benchmark runs");
     assert!(s.tlb_traps > 0, "turb3d's long strides must trap the dTLB");
 }
 
@@ -99,7 +106,7 @@ fn tlb_traps_fire_for_page_hungry_code() {
 fn tlb_penalty_policy_avoids_traps() {
     let mut cfg = PipelineConfig::base();
     cfg.mem.dtlb.miss_policy = TlbMissPolicy::Penalty(30);
-    let s = run_benchmark(&cfg, Benchmark::Turb3d, small());
+    let s = try_run_benchmark(&cfg, Benchmark::Turb3d, small()).expect("benchmark runs");
     assert_eq!(s.tlb_traps, 0);
 }
 
@@ -166,12 +173,15 @@ fn smt_beats_the_worse_member_under_mispredict_pressure() {
     // go alone wastes huge fetch bandwidth on wrong paths; paired with the
     // well-behaved su2cor, total throughput must beat go alone.
     let budget = small();
-    let go = run_benchmark(&PipelineConfig::base(), Benchmark::Go, budget).ipc();
-    let pair = looseloops_repro::core::run_pair(
+    let go = try_run_benchmark(&PipelineConfig::base(), Benchmark::Go, budget)
+        .expect("benchmark runs")
+        .ipc();
+    let pair = looseloops_repro::core::try_run_pair(
         &PipelineConfig::base().smt(2),
         Benchmark::pairs()[1], // go-su2cor
         budget,
-    );
+    )
+    .expect("SMT pair runs");
     assert!(
         pair.ipc() > go,
         "SMT pair throughput {} must exceed go alone {}",

@@ -3,8 +3,7 @@
 //! repeated figures must come from the memo cache instead of re-running.
 
 use looseloops_repro::core::{
-    ablation_dra_design_on, fig4_pipeline_length_on, ExecMode, ResultStore, RunBudget, SweepEngine,
-    Workload,
+    ExecMode, FigureResult, FigureSpec, ResultStore, RunBudget, SweepEngine, Workload,
 };
 
 fn tiny() -> RunBudget {
@@ -13,6 +12,12 @@ fn tiny() -> RunBudget {
         measure: 3_000,
         max_cycles: 2_000_000,
     }
+}
+
+/// The registry's figure `id` over the smoke set, run on `sweep`.
+fn figure(id: &str, sweep: &SweepEngine) -> FigureResult {
+    let spec = FigureSpec::for_id(id, &Workload::smoke_set(), tiny()).expect("registry id");
+    spec.render(&spec.run_on(sweep).expect("figure runs"))
 }
 
 /// A fresh scratch directory under the system temp dir.
@@ -26,9 +31,8 @@ fn scratch(tag: &str) -> std::path::PathBuf {
 fn fig4_parallel_is_byte_identical_to_serial() {
     let serial = SweepEngine::new(1);
     let parallel = SweepEngine::new(8);
-    let ws = Workload::smoke_set();
-    let a = fig4_pipeline_length_on(&serial, &ws, tiny());
-    let b = fig4_pipeline_length_on(&parallel, &ws, tiny());
+    let a = figure("fig4", &serial);
+    let b = figure("fig4", &parallel);
     assert_eq!(
         a.to_json(),
         b.to_json(),
@@ -43,9 +47,8 @@ fn fig4_parallel_is_byte_identical_to_serial() {
 fn dra_ablation_parallel_is_byte_identical_to_serial() {
     let serial = SweepEngine::new(1);
     let parallel = SweepEngine::new(8);
-    let ws = Workload::smoke_set();
-    let a = ablation_dra_design_on(&serial, &ws, tiny());
-    let b = ablation_dra_design_on(&parallel, &ws, tiny());
+    let a = figure("dra-design", &serial);
+    let b = figure("dra-design", &parallel);
     assert_eq!(
         a.to_json(),
         b.to_json(),
@@ -56,8 +59,7 @@ fn dra_ablation_parallel_is_byte_identical_to_serial() {
 #[test]
 fn repeated_figures_hit_the_cache() {
     let sweep = SweepEngine::new(4);
-    let ws = Workload::smoke_set();
-    let first = fig4_pipeline_length_on(&sweep, &ws, tiny());
+    let first = figure("fig4", &sweep);
     let after_first = sweep.summary();
     assert!(after_first.jobs_run > 0);
     assert_eq!(
@@ -65,7 +67,7 @@ fn repeated_figures_hit_the_cache() {
         "a cold engine has nothing to hit"
     );
 
-    let second = fig4_pipeline_length_on(&sweep, &ws, tiny());
+    let second = figure("fig4", &sweep);
     let after_second = sweep.summary();
     assert_eq!(
         after_second.jobs_run, after_first.jobs_run,
@@ -85,11 +87,10 @@ fn repeated_figures_hit_the_cache() {
 #[test]
 fn store_backed_figures_are_byte_identical_to_store_less_runs() {
     let dir = scratch("store-determinism");
-    let ws = Workload::smoke_set();
 
     // Reference: no store at all.
     let plain = SweepEngine::new(4);
-    let reference = fig4_pipeline_length_on(&plain, &ws, tiny());
+    let reference = figure("fig4", &plain);
 
     // Cold store-backed run: simulates everything, writes the store.
     let cold = SweepEngine::with_stores(
@@ -98,7 +99,7 @@ fn store_backed_figures_are_byte_identical_to_store_less_runs() {
         None,
         Some(ResultStore::open(&dir).expect("open store")),
     );
-    let first = fig4_pipeline_length_on(&cold, &ws, tiny());
+    let first = figure("fig4", &cold);
     assert_eq!(
         first.to_json(),
         reference.to_json(),
@@ -116,7 +117,7 @@ fn store_backed_figures_are_byte_identical_to_store_less_runs() {
         None,
         Some(ResultStore::open(&dir).expect("reopen store")),
     );
-    let second = fig4_pipeline_length_on(&warm, &ws, tiny());
+    let second = figure("fig4", &warm);
     assert_eq!(
         second.to_json(),
         reference.to_json(),
@@ -136,12 +137,10 @@ fn overlapping_figures_share_runs() {
     // Figure 4's 5_5 machine at rf=3 is the same machine Figure 8's rf=3
     // base column uses (base_with_latencies(5, 5) == base_for_rf(3)), so
     // running fig4 first must make part of fig8 free.
-    use looseloops_repro::core::fig8_dra_speedup_on;
     let sweep = SweepEngine::new(4);
-    let ws = Workload::smoke_set();
-    fig4_pipeline_length_on(&sweep, &ws, tiny());
+    figure("fig4", &sweep);
     let before = sweep.summary();
-    fig8_dra_speedup_on(&sweep, &ws, tiny());
+    figure("fig8", &sweep);
     let after = sweep.summary();
     assert!(
         after.cache_hits > before.cache_hits,
